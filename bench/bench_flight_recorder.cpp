@@ -4,7 +4,7 @@
 //
 //   1. record() must cost <= 100 ns/event on the hot path (thread-local
 //      ring lookup + clock_gettime + uncontended mutex + slot write);
-//   2. the InferenceServer's p50 with the recorder enabled must stay
+//   2. a one-lane router's p50 with the recorder enabled must stay
 //      within 2% of the same server with record() short-circuited
 //      (set_enabled(false) — the A/B switch exists for this bench).
 //
@@ -27,7 +27,6 @@
 #include "bench_common.h"
 #include "serve/flight_recorder.h"
 #include "serve/loadgen.h"
-#include "serve/server.h"
 
 namespace {
 
@@ -56,21 +55,22 @@ double record_burst_ns(size_t iters) {
 /// mergeable-but-bucketed (~6% relative error per bucket), far coarser
 /// than the 2% bound this bench enforces, so it cannot be the ruler.
 double serve_p50_ms(serve::EngineRegistry& registry,
-                    const nn::BertConfig& mcfg,
                     const serve::LoadgenConfig& lcfg) {
   // max_wait = 0: flush whatever is queued. A real hold-back timer
   // makes the latency distribution bimodal around the flush boundary —
   // a microsecond-level perturbation flips requests across it and moves
   // the p50 by whole percents, which would drown the effect this bench
   // is actually bounding.
-  serve::ServerConfig scfg;
-  scfg.num_workers = 2;
-  scfg.batcher.max_batch = 8;
-  scfg.batcher.max_wait = serve::Micros(0);
-  serve::InferenceServer server(registry, "bench", scfg);
-  server.start();
-  const serve::LoadgenReport report = serve::run_loadgen(server, mcfg, lcfg);
-  server.shutdown(/*drain=*/true);
+  serve::RouterConfig rcfg;
+  rcfg.num_workers = 2;
+  rcfg.batcher.max_batch = 8;
+  rcfg.batcher.max_wait = serve::Micros(0);
+  serve::ModelRouter router(registry, rcfg);
+  if (!router.add_model("bench")) return 0.0;
+  router.start();
+  const serve::LoadgenReport report =
+      serve::run_loadgen(router, "bench", lcfg);
+  router.shutdown(/*drain=*/true);
   std::vector<int64_t> lat;
   lat.reserve(report.records.size());
   for (const serve::RequestRecord& r : report.records)
@@ -100,9 +100,9 @@ int main(int argc, char** argv) {
   print_rule();
   std::printf("building serving engine (fast pipeline)...\n");
   serve::EngineRegistry registry;
-  auto engine = pipeline::build_and_register_engine(
-      registry, "bench", "sst2", core::FqQuantConfig::full(), /*fast=*/true);
-  const nn::BertConfig& mcfg = engine->config();
+  pipeline::build_and_register_engine(registry, "bench", "sst2",
+                                      core::FqQuantConfig::full(),
+                                      /*fast=*/true);
 
   // Light load on purpose: a deep closed-loop queue would amplify every
   // scheduling hiccup into the p50 (queueing delay swamps service
@@ -127,13 +127,13 @@ int main(int argc, char** argv) {
               on_runs, on_runs + 1, lcfg.num_clients,
               lcfg.requests_per_client,
               std::thread::hardware_concurrency());
-  (void)serve_p50_ms(registry, mcfg, lcfg);  // warm-up run, discarded
+  (void)serve_p50_ms(registry, lcfg);  // warm-up run, discarded
   std::vector<double> off_p50(on_runs + 1), on_p50(on_runs);
   for (int k = 0; k <= on_runs; ++k) {
     rec.set_enabled(false);
-    off_p50[k] = serve_p50_ms(registry, mcfg, lcfg);
+    off_p50[k] = serve_p50_ms(registry, lcfg);
     rec.set_enabled(true);
-    if (k < on_runs) on_p50[k] = serve_p50_ms(registry, mcfg, lcfg);
+    if (k < on_runs) on_p50[k] = serve_p50_ms(registry, lcfg);
   }
   std::vector<double> ratios;
   for (int k = 0; k < on_runs; ++k) {

@@ -1,6 +1,6 @@
 // Multi-tenant router bench: K models served by ONE ModelRouter process
-// (one shared worker set, per-model lanes) versus K dedicated
-// single-model InferenceServers — the pre-router deployment shape. The
+// (one shared worker set, per-model lanes) versus K dedicated one-lane
+// routers, one worker each — the single-model deployment shape. The
 // same closed-loop per-model client streams drive both setups; every
 // response from the router is verified bit-identical to the dedicated
 // server's response for the same example, and per-model p50/p95 plus
@@ -106,18 +106,19 @@ int main(int argc, char** argv) {
   batcher.max_wait = Micros(200);
 
   // -------------------------------------------------------------------
-  // Setup A: K dedicated single-model servers, 1 worker each.
+  // Setup A: K dedicated one-lane routers, 1 worker each.
   // -------------------------------------------------------------------
   std::vector<serve::EngineRegistry> registries(K);
-  std::vector<std::unique_ptr<serve::InferenceServer>> dedicated;
+  std::vector<std::unique_ptr<serve::ModelRouter>> dedicated;
   for (size_t m = 0; m < K; ++m) {
     registries[m].register_model(models[m].name, models[m].engine);
-    serve::ServerConfig scfg;
-    scfg.num_workers = 1;
-    scfg.batcher = batcher;
-    dedicated.push_back(std::make_unique<serve::InferenceServer>(
-        registries[m], models[m].name, scfg));
-    if (!dedicated.back()->start()) return 1;
+    serve::RouterConfig dcfg;
+    dcfg.num_workers = 1;
+    dcfg.batcher = batcher;
+    dedicated.push_back(
+        std::make_unique<serve::ModelRouter>(registries[m], dcfg));
+    if (!dedicated.back()->add_model(models[m].name)) return 1;
+    dedicated.back()->start();
   }
 
   std::vector<std::vector<serve::ServeResponse>> dedicated_responses(K);
@@ -137,7 +138,7 @@ int main(int argc, char** argv) {
                i += kClientsPerModel) {
             const double s = now_s();
             dedicated_responses[m][i] =
-                dedicated[m]->submit(workloads[m][i]).get();
+                dedicated[m]->submit("", workloads[m][i]).get();
             const double ms = (now_s() - s) * 1e3;
             static std::mutex mu;
             std::lock_guard<std::mutex> lock(mu);

@@ -6,7 +6,7 @@
 //   2. engine-level batched throughput — forward_batch() on ragged
 //      packed batches, isolating the packed-matmul win from the
 //      serving machinery;
-//   3. the InferenceServer under a closed-loop client, sweeping
+//   3. a one-lane ModelRouter under a closed-loop client, sweeping
 //      worker count x max batch over a seq-length mix.
 //
 // Since PR 2, forward() runs the very same panel kernel as
@@ -25,7 +25,6 @@
 
 #include "bench_common.h"
 #include "serve/loadgen.h"
-#include "serve/server.h"
 
 namespace {
 
@@ -103,7 +102,7 @@ int main(int argc, char** argv) {
   }
 
   print_rule();
-  std::printf("InferenceServer, closed loop: 16 clients x %d requests "
+  std::printf("one-lane router, closed loop: 16 clients x %d requests "
               "(hw threads: %u)\n",
               requests_per_client, std::thread::hardware_concurrency());
   std::printf("%-8s %-6s %10s %9s %9s %9s %10s %9s\n", "workers", "batch",
@@ -120,18 +119,19 @@ int main(int argc, char** argv) {
   for (const int64_t workers : {1, 2, 4}) {
     double best = 0.0;
     for (const int64_t max_batch : {1, 8, 16}) {
-      serve::ServerConfig scfg;
-      scfg.num_workers = static_cast<int>(workers);
-      scfg.batcher.max_batch = max_batch;
-      scfg.batcher.max_wait = Micros(2000);
-      scfg.batcher.bucket_granularity = 8;
+      serve::RouterConfig rcfg;
+      rcfg.num_workers = static_cast<int>(workers);
+      rcfg.batcher.max_batch = max_batch;
+      rcfg.batcher.max_wait = Micros(2000);
+      rcfg.batcher.bucket_granularity = 8;
 
-      serve::InferenceServer server(registry, "bench", scfg);
-      server.start();
+      serve::ModelRouter router(registry, rcfg);
+      if (!router.add_model("bench")) return 1;
+      router.start();
       const serve::LoadgenReport lg =
-          serve::run_loadgen(server, mcfg, lcfg);
-      server.shutdown(/*drain=*/true);
-      const serve::ServeStats::Report st = server.stats().report();
+          serve::run_loadgen(router, "bench", lcfg);
+      router.shutdown(/*drain=*/true);
+      const serve::ServeStats::Report st = *router.stats_report("bench");
       std::printf("%-8lld %-6lld %10.1f %9.2f %9.2f %9.2f %10.2f %8.2fx\n",
                   static_cast<long long>(workers),
                   static_cast<long long>(max_batch), lg.throughput_rps(),

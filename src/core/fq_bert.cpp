@@ -411,12 +411,18 @@ std::vector<int8_t> FqBertModel::embed(const nn::Example& ex) const {
 }
 
 void FqBertModel::embed_into(const nn::Example& ex, int8_t* codes) const {
+  std::vector<double> row;
+  embed_into(ex, codes, row);
+}
+
+void FqBertModel::embed_into(const nn::Example& ex, int8_t* codes,
+                             std::vector<double>& row) const {
   const int64_t s_len = static_cast<int64_t>(ex.tokens.size());
   const int64_t hdim = config_.hidden;
+  row.resize(static_cast<size_t>(hdim));
 
   for (int64_t r = 0; r < s_len; ++r) {
     // Sum of the three (dequantized) embedding rows.
-    std::vector<double> row(static_cast<size_t>(hdim));
     const float* tok = tok_table_.row(ex.tokens[static_cast<size_t>(r)]);
     const float* pos = pos_table_.row(r);
     const float* seg = seg_table_.row(ex.segments[static_cast<size_t>(r)]);
@@ -479,10 +485,18 @@ std::vector<Tensor> FqBertModel::forward_batch(
     const std::vector<const nn::Example*>& batch) const {
   if (batch.empty()) return {};
 
+  // Per-thread grow-only scratch: in steady state the encoder allocates
+  // nothing; only the returned logits (and the head's float tensors)
+  // do. That is where most of the batching win over per-example
+  // forward() comes from on CPU.
+  static thread_local FqBatchScratch scratch;
+
   // Pack the examples into one ragged int8 batch (no padding): example
   // i's rows start at offsets[i].
-  std::vector<int64_t> seq_lens(batch.size());
-  std::vector<int64_t> offsets(batch.size());
+  std::vector<int64_t>& seq_lens = scratch.seq_lens;
+  std::vector<int64_t>& offsets = scratch.offsets;
+  seq_lens.resize(batch.size());
+  offsets.resize(batch.size());
   int64_t total = 0;
   for (size_t i = 0; i < batch.size(); ++i) {
     seq_lens[i] = static_cast<int64_t>(batch[i]->tokens.size());
@@ -490,17 +504,12 @@ std::vector<Tensor> FqBertModel::forward_batch(
     total += seq_lens[i];
   }
 
-  // Per-thread grow-only scratch: the serving hot loop stays
-  // allocation-free in steady state, which is where most of the
-  // batching win over per-example forward() comes from on CPU.
-  static thread_local FqBatchScratch scratch;
-
   const int64_t hdim = config_.hidden;
   std::vector<int8_t>* x = &scratch.act_a;
   std::vector<int8_t>* y = &scratch.act_b;
   x->resize(static_cast<size_t>(total * hdim));
   for (size_t i = 0; i < batch.size(); ++i)
-    embed_into(*batch[i], x->data() + offsets[i] * hdim);
+    embed_into(*batch[i], x->data() + offsets[i] * hdim, scratch.embed_row);
 
   for (const FqEncoderLayer& layer : layers_) {
     layer.forward_batch(*x, *y, seq_lens, scratch);

@@ -44,6 +44,8 @@ struct FqBatchScratch {
   std::vector<int16_t> panel;  // widened 4-row activation panel
   std::vector<int16_t> kh16;   // widened K head (QK^T panel operand)
   std::vector<int32_t> acc, res, scores, probs, ctx_acc;
+  std::vector<int64_t> seq_lens, offsets;  // ragged batch layout
+  std::vector<double> embed_row;           // one summed embedding row
 };
 
 /// A quantized linear layer: int8 activations x int4/int8 weights ->
@@ -211,6 +213,10 @@ class FqBertModel {
   /// embed() writing straight into a packed batch buffer at `dst`
   /// (must hold tokens.size() * hidden int8 codes).
   void embed_into(const nn::Example& ex, int8_t* dst) const;
+  /// embed_into() summing each row in caller storage (`row` is resized
+  /// to hidden), so the batched path allocates nothing per row.
+  void embed_into(const nn::Example& ex, int8_t* dst,
+                  std::vector<double>& row) const;
   double embed_scale() const { return emb_scale_; }
 
   /// CPU-side task head applied to the final encoder codes (the

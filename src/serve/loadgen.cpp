@@ -85,11 +85,13 @@ nn::Example synth_example(Rng& rng, int64_t seq_len,
   return ex;
 }
 
-LoadgenReport run_loadgen(InferenceServer& server,
-                          const nn::BertConfig& engine_config,
+LoadgenReport run_loadgen(ModelRouter& router, const std::string& model,
                           const LoadgenConfig& cfg) {
   LoadgenReport report;
   Mutex report_mu;
+  const std::optional<nn::BertConfig> shape = router.model_config(model);
+  if (!shape) return report;
+  const nn::BertConfig& engine_config = *shape;
 
   const TimePoint t0 = Clock::now();
   std::vector<std::thread> clients;
@@ -103,14 +105,15 @@ LoadgenReport run_loadgen(InferenceServer& server,
             synth_example(rng, pick_len(rng, cfg, engine_config),
                           engine_config);
         const TimePoint sent_at = Clock::now();
-        auto fut = server.submit(std::move(ex), cfg.deadline_budget);
+        auto fut = router.submit(model, std::move(ex), cfg.deadline_budget);
         ++tally.sent;
         const ServeResponse resp = fut.get();  // closed loop
         const int64_t wall = us_since(sent_at);
         tally.count(resp.status, wall);
         if (cfg.collect_records)
           tally.records.push_back(
-              {resp.trace_id, "", resp.tier, resp.status, wall, resp.trace});
+              {resp.trace_id, model, resp.tier, resp.status, wall,
+               resp.trace});
       }
       tally.merge_into(report, report_mu);
     });

@@ -6,7 +6,7 @@
 #pragma once
 
 #include "serve/quantile_sketch.h"
-#include "serve/server.h"
+#include "serve/router/model_router.h"
 #include "serve/trace.h"
 #include "tensor/rng.h"
 
@@ -79,17 +79,19 @@ struct LoadgenReport {
 
 /// Random token sequence shaped like the engine's inputs (token 0
 /// reserved as [CLS]-ish anchor so batched CLS rows are well-defined).
-/// Always admissible by InferenceServer::valid_example for the same
+/// Always admissible by ModelRouter::submit for a lane of the same
 /// config: length clamped to [min(2, max_seq_len), max_seq_len], token
 /// ids within vocab — degenerate configs (max_seq_len or vocab_size of
 /// 1) are handled instead of feeding inverted ranges to clamp/randint.
 nn::Example synth_example(Rng& rng, int64_t seq_len,
                           const nn::BertConfig& config);
 
-/// Drive `server` closed-loop; blocks until every client finishes.
-/// An empty seq_len_mix falls back to the engine's max_seq_len.
-LoadgenReport run_loadgen(InferenceServer& server,
-                          const nn::BertConfig& engine_config,
+/// Drive `model` ("" = the default model) on `router` closed-loop,
+/// synthesizing examples for its default tier's engine shape; blocks
+/// until every client finishes. An empty seq_len_mix falls back to the
+/// engine's max_seq_len. A model the router does not serve yields an
+/// empty report (sent == 0).
+LoadgenReport run_loadgen(ModelRouter& router, const std::string& model,
                           const LoadgenConfig& cfg);
 
 /// One model in a remote multi-model traffic mix: requests carry `name`

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "serve/flight_recorder.h"
+#include "tensor/tensor_ops.h"
 
 namespace fqbert::serve {
 
@@ -25,6 +26,98 @@ void set_error(std::string* error, const std::string& message) {
 
 std::string lane_label(const std::string& name, int bits) {
   return "model '" + name + "' tier int" + std::to_string(bits);
+}
+
+/// True when `ex` is well-formed for an engine of shape `cfg`
+/// (non-empty, within max_seq_len, ids in range, segments aligned).
+bool example_valid_for(const nn::Example& ex, const nn::BertConfig& cfg) {
+  const int64_t len = static_cast<int64_t>(ex.tokens.size());
+  if (len < 1 || len > cfg.max_seq_len) return false;
+  if (ex.segments.size() != ex.tokens.size()) return false;
+  for (const int32_t tok : ex.tokens)
+    if (tok < 0 || tok >= cfg.vocab_size) return false;
+  for (const int32_t seg : ex.segments)
+    if (seg < 0 || seg >= cfg.num_segments) return false;
+  return true;
+}
+
+/// Execute one formed batch on `engine` and resolve every request's
+/// promise (logits + latency breakdown on success, kEngineError for the
+/// whole batch when the engine throws), recording into `stats`. `model`
+/// tags the flight-recorder worker events and any retained
+/// slow-request exemplars.
+void execute_batch(const core::FqBertModel& engine, ServeStats& stats,
+                   std::vector<ServeRequest>& batch,
+                   const std::string& model) {
+  const TimePoint formed = Clock::now();
+  std::vector<const nn::Example*> examples;
+  examples.reserve(batch.size());
+  for (const ServeRequest& req : batch) examples.push_back(&req.example);
+
+  FlightRecorder& recorder = FlightRecorder::instance();
+  const uint8_t batch_tier = batch.empty() ? 0 : batch.front().tier;
+  recorder.record(FlightEventType::kWorkerStart, model, 0, batch_tier, 0,
+                  static_cast<uint32_t>(batch.size()));
+
+  std::vector<Tensor> logits;
+  bool failed = false;
+  const TimePoint start = Clock::now();
+  try {
+    logits = engine.forward_batch(examples);
+  } catch (const std::exception&) {
+    failed = true;
+  }
+
+  const TimePoint done = Clock::now();
+  stats.record_batch(batch.size());
+  const auto rel_us = [](TimePoint t, TimePoint base) {
+    return std::chrono::duration_cast<Micros>(t - base).count();
+  };
+  recorder.record(FlightEventType::kWorkerEnd, model, 0, batch_tier, 0,
+                  static_cast<uint32_t>(batch.size()),
+                  static_cast<uint64_t>(std::max<int64_t>(
+                      rel_us(done, start), 0)));
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ServeRequest& req = batch[i];
+    ServeResponse resp;
+    resp.request_id = req.id;
+    resp.tier = req.tier;
+    resp.batch_size = static_cast<int32_t>(batch.size());
+    resp.queue_us = rel_us(formed, req.enqueue_time);
+    resp.latency_us = rel_us(done, req.enqueue_time);
+    // A slow exemplar keeps its full stage breakdown even for untraced
+    // requests (the timestamps exist either way; only the candidacy
+    // check rides the hot path).
+    const bool traced = req.trace_id != 0;
+    const bool slow = !failed && recorder.slow_candidate(resp.latency_us);
+    std::vector<TraceEvent> timeline;
+    if (traced || slow)
+      timeline = {
+          {TraceStage::kAdmitted, 0},
+          {TraceStage::kBatchFormed, resp.queue_us},
+          {TraceStage::kWorkerStart, rel_us(start, req.enqueue_time)},
+          {TraceStage::kWorkerEnd, resp.latency_us},
+      };
+    if (failed) {
+      resp.status = RequestStatus::kEngineError;
+      stats.record_failure();
+    } else {
+      resp.status = RequestStatus::kOk;
+      const Tensor& l = logits[i];
+      resp.logits.assign(l.data(), l.data() + l.numel());
+      resp.predicted = static_cast<int32_t>(argmax(l.data(), l.numel()));
+      stats.record_response(resp.latency_us, resp.queue_us);
+      if (slow)
+        recorder.note_slow(model, resp.tier, req.trace_id, resp.latency_us,
+                           timeline);
+    }
+    if (traced) {
+      resp.trace_id = req.trace_id;
+      resp.admitted_at = req.enqueue_time;
+      resp.trace = std::move(timeline);
+    }
+    req.promise.set_value(std::move(resp));
+  }
 }
 
 }  // namespace
@@ -59,9 +152,10 @@ void ModelRouter::shutdown(bool drain) {
     lanes.reserve(lanes_.size());
     for (const auto& [key, lane] : lanes_) lanes.push_back(lane);
   }
-  // Same ordering discipline as InferenceServer::shutdown: in abort
-  // mode, stop batch handout BEFORE the close() wakeups, and fail
-  // leftovers only after the workers are gone.
+  // Abort mode: stop batch handout BEFORE the close() wakeups, and
+  // fail leftovers only after the workers are gone — otherwise a woken
+  // worker can force-drain the buckets and complete requests this
+  // shutdown promised to fail (racy on multi-core).
   if (!drain)
     for (const auto& lane : lanes) lane->batcher.abort();
   for (const auto& lane : lanes) lane->queue.close();
@@ -299,14 +393,14 @@ std::future<ServeResponse> ModelRouter::submit(
   if (deadline_budget) req.deadline = req.enqueue_time + *deadline_budget;
   std::future<ServeResponse> fut = req.promise.get_future();
 
-  std::shared_ptr<Lane> lane;
+  // The lane is resolved even when the router is not running, so a
+  // request refused before start() or after shutdown() still lands in
+  // its lane's rejected_closed counter.
   bool model_known = false;
-  if (running()) {
-    lane = find_lane(model, tier, &model_known);
-    if (!lane && model_known &&
-        cfg_.tier_fallback == TierFallback::kFallbackToDefault)
-      lane = find_lane(model, 0);
-  }
+  std::shared_ptr<Lane> lane = find_lane(model, tier, &model_known);
+  if (!lane && model_known &&
+      cfg_.tier_fallback == TierFallback::kFallbackToDefault)
+    lane = find_lane(model, 0);
 
   AdmitResult result = AdmitResult::kClosed;
   if (!running()) {

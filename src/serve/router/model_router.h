@@ -8,7 +8,8 @@
 // thread pool. Requests carry the model name AND a tier (weight_bits;
 // 0 = the model's default tier); the empty name routes to the default
 // model (the first lane added), which is how protocol-v1 clients keep
-// working.
+// working. A single-model server is a router with one lane:
+// add_model(name) once, then submit("", ...) or submit(name, ...).
 //
 //   EngineRegistry registry;
 //   registry.register_file("sst2", "sst2.bin");   // native int8
@@ -45,9 +46,8 @@
 #include <vector>
 
 #include "platform/thread_annotations.h"
-#include "serve/engine_pool.h"
+#include "serve/batcher.h"
 #include "serve/engine_registry.h"
-#include "serve/server.h"
 
 namespace fqbert::serve {
 
@@ -58,7 +58,11 @@ enum class TierFallback {
 };
 
 struct RouterConfig {
-  /// Shared worker threads executing batches across ALL lanes.
+  /// Shared worker threads executing batches across ALL lanes (values
+  /// below 1 are clamped to 1, so admitted requests always complete).
+  /// All workers share each lane's one immutable engine instance:
+  /// forward_batch is reentrant-const, so per-worker weight replicas
+  /// would only multiply memory.
   int num_workers = 2;
   /// Per-lane admission queue and batching policy (every lane gets its
   /// own instances with these settings).

@@ -32,7 +32,6 @@
 #include "serve/net/transport_client.h"
 #include "serve/net/transport_server.h"
 #include "serve/router/model_router.h"
-#include "serve/server.h"
 
 namespace fqbert::serve {
 namespace {
@@ -154,11 +153,8 @@ TEST(PrecisionTiers, DerivedTierBitIdenticalToDedicatedServer) {
   ASSERT_TRUE(int8_parent()->derive_tier(4).save(int4_path));
   EngineRegistry reg4;
   ASSERT_TRUE(reg4.register_file("d4", int4_path));
-  ServerConfig scfg;
-  scfg.num_workers = 1;
-  scfg.batcher.max_batch = 4;
-  scfg.batcher.max_wait = Micros(500);
-  InferenceServer dedicated4(reg4, "d4", scfg);
+  ModelRouter dedicated4(reg4, fast_router_config(1));
+  ASSERT_TRUE(dedicated4.add_model("d4"));
   ASSERT_TRUE(dedicated4.start());
 
   Rng rng(21);
@@ -167,7 +163,7 @@ TEST(PrecisionTiers, DerivedTierBitIdenticalToDedicatedServer) {
         synth_example(rng, 2 + rng.randint(0, 20), tier_shape());
     ServeResponse tiered =
         router.submit("m", ex, std::nullopt, nullptr, 0, /*tier=*/4).get();
-    ServeResponse direct = dedicated4.submit(ex).get();
+    ServeResponse direct = dedicated4.submit("", ex).get();
     ASSERT_EQ(tiered.status, RequestStatus::kOk);
     ASSERT_EQ(direct.status, RequestStatus::kOk);
     EXPECT_EQ(tiered.tier, 4);  // response reports the serving tier

@@ -19,7 +19,6 @@
 #include "serve/net/transport_client.h"
 #include "serve/net/transport_server.h"
 #include "serve/router/model_router.h"
-#include "serve/server.h"
 
 namespace fqbert::serve {
 namespace {
@@ -92,7 +91,7 @@ RouterConfig fast_router_config(int workers = 2) {
 }
 
 // ---------------------------------------------------------------------------
-// Acceptance: one router == K dedicated servers, bit for bit.
+// Acceptance: one router == K dedicated one-lane routers, bit for bit.
 // ---------------------------------------------------------------------------
 
 TEST(ModelRouter, TwoModelsBitIdenticalToDedicatedServers) {
@@ -105,29 +104,28 @@ TEST(ModelRouter, TwoModelsBitIdenticalToDedicatedServers) {
   ASSERT_TRUE(router.add_model("b"));
   ASSERT_TRUE(router.start());
 
-  // Two dedicated single-model servers (the pre-router deployment).
-  ServerConfig scfg;
-  scfg.num_workers = 1;
-  scfg.batcher.max_batch = 4;
-  scfg.batcher.max_wait = Micros(500);
+  // Two dedicated single-model servers: one-lane routers, one worker
+  // each (the single-model deployment).
   EngineRegistry reg_a, reg_b;
   reg_a.register_model("a", engines().a);
   reg_b.register_model("b", engines().b);
-  InferenceServer server_a(reg_a, "a", scfg);
-  InferenceServer server_b(reg_b, "b", scfg);
+  ModelRouter server_a(reg_a, fast_router_config(1));
+  ModelRouter server_b(reg_b, fast_router_config(1));
+  ASSERT_TRUE(server_a.add_model("a"));
+  ASSERT_TRUE(server_b.add_model("b"));
   ASSERT_TRUE(server_a.start());
   ASSERT_TRUE(server_b.start());
 
   constexpr int kPerModel = 40;
   std::atomic<int> mismatches{0};
   auto drive = [&](const char* model, const BertConfig& cfg,
-                   InferenceServer& dedicated, uint64_t seed) {
+                   ModelRouter& dedicated, uint64_t seed) {
     Rng rng(seed);
     for (int i = 0; i < kPerModel; ++i) {
       const Example ex =
           synth_example(rng, 2 + rng.randint(0, cfg.max_seq_len - 2), cfg);
       ServeResponse via_router = router.submit(model, ex).get();
-      ServeResponse via_dedicated = dedicated.submit(ex).get();
+      ServeResponse via_dedicated = dedicated.submit("", ex).get();
       if (via_router.status != RequestStatus::kOk ||
           via_dedicated.status != RequestStatus::kOk ||
           via_router.logits != via_dedicated.logits ||

@@ -7,7 +7,7 @@
 
 #include "pipeline/pipeline.h"
 #include "serve/loadgen.h"
-#include "serve/server.h"
+#include "serve/router/model_router.h"
 #include "test_util.h"
 
 namespace fqbert::serve {
@@ -211,19 +211,26 @@ TEST(DynamicBatcher, DropsExpiredRequestsWithTimeoutStatus) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end server
+// End-to-end serving: a single-model server is a one-lane router.
 // ---------------------------------------------------------------------------
 
-TEST(InferenceServer, ResponsesMatchRequestsUnderConcurrentSubmitters) {
+/// The lane's stats; every test below serves the one lane "tiny" (a
+/// missing lane throws, failing the test).
+ServeStats::Report lane_report(const ModelRouter& router) {
+  return router.stats_report("tiny").value();
+}
+
+TEST(OneLaneRouter, ResponsesMatchRequestsUnderConcurrentSubmitters) {
   EngineRegistry registry;
   registry.register_model("tiny", fixture().engine);
 
-  ServerConfig cfg;
+  RouterConfig cfg;
   cfg.num_workers = 2;
   cfg.batcher.max_batch = 4;
   cfg.batcher.max_wait = Micros(500);
-  InferenceServer server(registry, "tiny", cfg);
-  ASSERT_TRUE(server.start());
+  ModelRouter router(registry, cfg);
+  ASSERT_TRUE(router.add_model("tiny"));
+  ASSERT_TRUE(router.start());
 
   constexpr int kClients = 4, kPerClient = 25;
   std::vector<std::thread> clients;
@@ -234,7 +241,7 @@ TEST(InferenceServer, ResponsesMatchRequestsUnderConcurrentSubmitters) {
       for (int i = 0; i < kPerClient; ++i) {
         Example ex =
             synth_example(rng, 3 + rng.randint(0, 20), fixture().config);
-        auto fut = server.submit(ex);
+        auto fut = router.submit("", ex);
         const ServeResponse resp = fut.get();
         if (resp.status != RequestStatus::kOk) {
           ++mismatches[c];
@@ -249,70 +256,73 @@ TEST(InferenceServer, ResponsesMatchRequestsUnderConcurrentSubmitters) {
     });
   }
   for (std::thread& t : clients) t.join();
-  server.shutdown(/*drain=*/true);
+  router.shutdown(/*drain=*/true);
 
   for (int c = 0; c < kClients; ++c) EXPECT_EQ(mismatches[c], 0);
-  const ServeStats::Report report = server.stats().report();
+  const ServeStats::Report report = lane_report(router);
   EXPECT_EQ(report.admitted, kClients * kPerClient);
   EXPECT_EQ(report.completed, kClients * kPerClient);
   EXPECT_GE(report.batches, 1u);
 }
 
-TEST(InferenceServer, GracefulShutdownDrainsQueue) {
+TEST(OneLaneRouter, GracefulShutdownDrainsQueue) {
   EngineRegistry registry;
   registry.register_model("tiny", fixture().engine);
 
-  ServerConfig cfg;
+  RouterConfig cfg;
   cfg.num_workers = 1;
   cfg.batcher.max_batch = 4;
   cfg.batcher.max_wait = Micros(50 * 1000);  // keep requests queued
-  InferenceServer server(registry, "tiny", cfg);
-  ASSERT_TRUE(server.start());
+  ModelRouter router(registry, cfg);
+  ASSERT_TRUE(router.add_model("tiny"));
+  ASSERT_TRUE(router.start());
 
   Rng rng(5);
   std::vector<std::future<ServeResponse>> futures;
   for (int i = 0; i < 10; ++i)
     futures.push_back(
-        server.submit(synth_example(rng, 8, fixture().config)));
+        router.submit("", synth_example(rng, 8, fixture().config)));
 
-  server.shutdown(/*drain=*/true);  // must complete all 10, not fail them
+  router.shutdown(/*drain=*/true);  // must complete all 10, not fail them
   int ok = 0;
   for (auto& fut : futures) ok += fut.get().status == RequestStatus::kOk;
   EXPECT_EQ(ok, 10);
-  EXPECT_EQ(server.stats().report().completed, 10u);
+  EXPECT_EQ(lane_report(router).completed, 10u);
 
   // Post-shutdown submissions are rejected with kShutdown.
-  auto late = server.submit(synth_example(rng, 8, fixture().config));
+  auto late = router.submit("", synth_example(rng, 8, fixture().config));
   EXPECT_EQ(late.get().status, RequestStatus::kShutdown);
 }
 
-TEST(InferenceServer, AbortShutdownFailsPendingRequests) {
+TEST(OneLaneRouter, AbortShutdownFailsPendingRequests) {
   EngineRegistry registry;
   registry.register_model("tiny", fixture().engine);
 
-  ServerConfig cfg;
+  RouterConfig cfg;
   cfg.num_workers = 1;
   cfg.batcher.max_batch = 64;
   cfg.batcher.max_wait = Micros(3600L * 1000 * 1000);  // never flush
-  InferenceServer server(registry, "tiny", cfg);
-  ASSERT_TRUE(server.start());
+  ModelRouter router(registry, cfg);
+  ASSERT_TRUE(router.add_model("tiny"));
+  ASSERT_TRUE(router.start());
 
   Rng rng(6);
   std::vector<std::future<ServeResponse>> futures;
   for (int i = 0; i < 5; ++i)
     futures.push_back(
-        server.submit(synth_example(rng, 8, fixture().config)));
+        router.submit("", synth_example(rng, 8, fixture().config)));
 
-  server.shutdown(/*drain=*/false);
+  router.shutdown(/*drain=*/false);
   for (auto& fut : futures)
     EXPECT_EQ(fut.get().status, RequestStatus::kShutdown);
 }
 
-TEST(InferenceServer, RejectsMalformedExamplesAtAdmission) {
+TEST(OneLaneRouter, RejectsMalformedExamplesAtAdmission) {
   EngineRegistry registry;
   registry.register_model("tiny", fixture().engine);
-  InferenceServer server(registry, "tiny", ServerConfig{});
-  ASSERT_TRUE(server.start());
+  ModelRouter router(registry);
+  ASSERT_TRUE(router.add_model("tiny"));
+  ASSERT_TRUE(router.start());
 
   Rng rng(11);
   const BertConfig& cfg = fixture().config;
@@ -327,50 +337,52 @@ TEST(InferenceServer, RejectsMalformedExamplesAtAdmission) {
 
   for (Example* ex : {&too_long, &bad_token, &ragged_segments, &empty}) {
     AdmitResult admit;
-    auto fut = server.submit(*ex, std::nullopt, &admit);
+    auto fut = router.submit("", *ex, std::nullopt, &admit);
     EXPECT_EQ(admit, AdmitResult::kInvalidExample);
     EXPECT_EQ(fut.get().status, RequestStatus::kRejectedInvalid);
   }
   // A well-formed example still sails through on the same server.
-  auto ok = server.submit(synth_example(rng, 8, cfg));
+  auto ok = router.submit("", synth_example(rng, 8, cfg));
   EXPECT_EQ(ok.get().status, RequestStatus::kOk);
-  server.shutdown();
+  router.shutdown();
   // The rejections are visible server-side, not only in client counts.
-  EXPECT_EQ(server.stats().report().rejected_invalid, 4u);
+  EXPECT_EQ(lane_report(router).rejected_invalid, 4u);
   // Post-shutdown submissions land in the closed counter.
-  auto late = server.submit(synth_example(rng, 8, cfg));
+  auto late = router.submit("", synth_example(rng, 8, cfg));
   EXPECT_EQ(late.get().status, RequestStatus::kShutdown);
-  EXPECT_EQ(server.stats().report().rejected_closed, 1u);
+  EXPECT_EQ(lane_report(router).rejected_closed, 1u);
 }
 
-TEST(InferenceServer, ZeroWorkerConfigStillServes) {
+TEST(OneLaneRouter, ZeroWorkerConfigStillServes) {
   EngineRegistry registry;
   registry.register_model("tiny", fixture().engine);
-  ServerConfig cfg;
+  RouterConfig cfg;
   cfg.num_workers = 0;  // clamped to 1: futures must never hang
-  InferenceServer server(registry, "tiny", cfg);
-  ASSERT_TRUE(server.start());
-  EXPECT_EQ(server.num_workers(), 1u);
+  ModelRouter router(registry, cfg);
+  ASSERT_TRUE(router.add_model("tiny"));
+  ASSERT_TRUE(router.start());
+  EXPECT_EQ(router.num_workers(), 1u);
   Rng rng(17);
-  auto fut = server.submit(synth_example(rng, 8, fixture().config));
+  auto fut = router.submit("", synth_example(rng, 8, fixture().config));
   EXPECT_EQ(fut.get().status, RequestStatus::kOk);
-  server.shutdown();
+  router.shutdown();
 }
 
-TEST(InferenceServer, DeadlineRejectionAndStatsCounters) {
+TEST(OneLaneRouter, DeadlineRejectionAndStatsCounters) {
   EngineRegistry registry;
   registry.register_model("tiny", fixture().engine);
-  InferenceServer server(registry, "tiny", ServerConfig{});
-  ASSERT_TRUE(server.start());
+  ModelRouter router(registry);
+  ASSERT_TRUE(router.add_model("tiny"));
+  ASSERT_TRUE(router.start());
 
   Rng rng(8);
   AdmitResult admit;
-  auto fut = server.submit(synth_example(rng, 8, fixture().config),
+  auto fut = router.submit("", synth_example(rng, 8, fixture().config),
                            Micros(-1000), &admit);
   EXPECT_EQ(admit, AdmitResult::kDeadlineExpired);
   EXPECT_EQ(fut.get().status, RequestStatus::kRejectedDeadline);
-  server.shutdown();
-  EXPECT_EQ(server.stats().report().rejected_deadline, 1u);
+  router.shutdown();
+  EXPECT_EQ(lane_report(router).rejected_deadline, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -409,24 +421,25 @@ TEST(EngineRegistry, FileBackedEntriesShareOneLoadedInstance) {
   EXPECT_FALSE(registry.register_file("bad", path + ".nope"));
 }
 
-TEST(EnginePool, WorkersShareOneEngineInstance) {
+TEST(OneLaneRouter, WorkersShareOneEngineInstance) {
   EngineRegistry registry;
   registry.register_model("tiny", fixture().engine);
   const long before = fixture().engine.use_count();
 
-  ServerConfig cfg;
+  RouterConfig cfg;
   cfg.num_workers = 4;
-  InferenceServer server(registry, "tiny", cfg);
-  ASSERT_TRUE(server.start());
-  EXPECT_EQ(server.num_workers(), 4u);
-  // Registry entry + the pool's single shared handle: starting 4 workers
-  // must not create 4 engine copies.
+  ModelRouter router(registry, cfg);
+  ASSERT_TRUE(router.add_model("tiny"));
+  ASSERT_TRUE(router.start());
+  EXPECT_EQ(router.num_workers(), 4u);
+  // Registry entry + the lane's single shared handle: starting 4
+  // workers must not create 4 engine copies.
   EXPECT_EQ(fixture().engine.use_count(), before + 1);
 
   Rng rng(21);
-  auto fut = server.submit(synth_example(rng, 8, fixture().config));
+  auto fut = router.submit("", synth_example(rng, 8, fixture().config));
   EXPECT_EQ(fut.get().status, RequestStatus::kOk);
-  server.shutdown(/*drain=*/true);
+  router.shutdown(/*drain=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -470,27 +483,28 @@ TEST(ServeStats, ResetClearsSketchAndCounters) {
   EXPECT_EQ(r.p99_ms, 0.0);
 }
 
-TEST(InferenceServer, ShutdownAccountingBalancesExactly) {
+TEST(OneLaneRouter, ShutdownAccountingBalancesExactly) {
   EngineRegistry registry;
   registry.register_model("tiny", fixture().engine);
 
-  ServerConfig cfg;
+  RouterConfig cfg;
   cfg.num_workers = 1;
   cfg.batcher.max_batch = 64;
   cfg.batcher.max_wait = Micros(3600L * 1000 * 1000);  // never flush
-  InferenceServer server(registry, "tiny", cfg);
-  ASSERT_TRUE(server.start());
+  ModelRouter router(registry, cfg);
+  ASSERT_TRUE(router.add_model("tiny"));
+  ASSERT_TRUE(router.start());
 
   Rng rng(13);
   std::vector<std::future<ServeResponse>> futures;
   for (int i = 0; i < 7; ++i)
     futures.push_back(
-        server.submit(synth_example(rng, 8, fixture().config)));
-  server.shutdown(/*drain=*/false);
+        router.submit("", synth_example(rng, 8, fixture().config)));
+  router.shutdown(/*drain=*/false);
   for (auto& fut : futures)
     EXPECT_EQ(fut.get().status, RequestStatus::kShutdown);
 
-  const ServeStats::Report r = server.stats().report();
+  const ServeStats::Report r = lane_report(router);
   EXPECT_EQ(r.admitted, 7u);
   EXPECT_EQ(r.failed, 7u);
   EXPECT_EQ(r.completed + r.timed_out + r.failed, r.admitted)
@@ -498,16 +512,17 @@ TEST(InferenceServer, ShutdownAccountingBalancesExactly) {
   EXPECT_TRUE(r.accounting_balances());
 }
 
-TEST(InferenceServer, LoadgenAccountingBalancesWithTimeouts) {
+TEST(OneLaneRouter, LoadgenAccountingBalancesWithTimeouts) {
   EngineRegistry registry;
   registry.register_model("tiny", fixture().engine);
 
-  ServerConfig cfg;
+  RouterConfig cfg;
   cfg.num_workers = 2;
   cfg.batcher.max_batch = 8;
   cfg.batcher.max_wait = Micros(500);
-  InferenceServer server(registry, "tiny", cfg);
-  ASSERT_TRUE(server.start());
+  ModelRouter router(registry, cfg);
+  ASSERT_TRUE(router.add_model("tiny"));
+  ASSERT_TRUE(router.start());
 
   LoadgenConfig lcfg;
   lcfg.num_clients = 4;
@@ -515,10 +530,10 @@ TEST(InferenceServer, LoadgenAccountingBalancesWithTimeouts) {
   // Tight deadline: some requests expire in queue, exercising the
   // timed-out terminal path alongside completions.
   lcfg.deadline_budget = Micros(1500);
-  const LoadgenReport lg = run_loadgen(server, fixture().config, lcfg);
-  server.shutdown(/*drain=*/true);
+  const LoadgenReport lg = run_loadgen(router, "tiny", lcfg);
+  router.shutdown(/*drain=*/true);
 
-  const ServeStats::Report r = server.stats().report();
+  const ServeStats::Report r = lane_report(router);
   EXPECT_EQ(lg.sent, 200u);
   EXPECT_TRUE(r.accounting_balances())
       << "admitted " << r.admitted << " != completed " << r.completed

@@ -27,7 +27,6 @@
 #include "serve/net/transport_client.h"
 #include "serve/net/transport_server.h"
 #include "serve/router/model_router.h"
-#include "serve/server.h"
 #include "serve/shard/shard_proxy.h"
 
 namespace fqbert::serve {
